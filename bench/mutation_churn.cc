@@ -2,8 +2,8 @@
 /// subsystem: what one acknowledged mutation costs with and without the
 /// fsync'd journal, what re-materializing the overlay after a write adds
 /// to the next query, the interleaved mutate/query churn a mutable served
-/// graph actually experiences, periodic compaction, and crash-recovery
-/// replay of a journal tail.
+/// graph actually experiences (directly and through a server session),
+/// periodic compaction, and crash-recovery replay of a journal tail.
 ///
 /// The artifact section pins the PR 10 acceptance facts on a scaled
 /// social graph:
@@ -18,6 +18,11 @@
 ///   * a query on the live overlay version matches the same query on the
 ///     reference rebuild.
 
+#include <dirent.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <random>
@@ -29,6 +34,8 @@
 #include "mutation/delta_log.h"
 #include "mutation/live_graph.h"
 #include "mutation/overlay.h"
+#include "server/graph_catalog.h"
+#include "server/session.h"
 #include "storage/snapshot_reader.h"
 #include "storage/snapshot_writer.h"
 
@@ -259,6 +266,123 @@ void BM_ChurnQueryMix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChurnQueryMix)->Unit(benchmark::kMillisecond);
+
+/// A served session on a mutable catalog entry whose journal lives on
+/// tmpfs, where fsync costs nothing: the `!mutate` write path minus the
+/// durability premium BM_MutateJournaled measures. Compaction is off, so
+/// every iteration does the same work.
+class InMemorySession {
+ public:
+  InMemorySession() : catalog_(Options()), manager_(&catalog_, {}) {
+    Result<std::unique_ptr<server::ServerSession>> s = manager_.Open(kSpec);
+    Check(s.ok(), "session open failed");
+    session_ = std::move(s).value();
+    Line("!timing off");
+  }
+  ~InMemorySession() {
+    session_.reset();
+    RemoveDir();
+  }
+
+  /// Sends one line; returns the response.
+  const std::string& Line(const std::string& line) {
+    out_.clear();
+    session_->HandleLine(line, &out_);
+    return out_;
+  }
+
+  /// The next write of a net-zero stream: even writes add a named Knows
+  /// edge between random persons, odd writes remove it again, so the
+  /// live graph never drifts from the base.
+  void Write() {
+    const uint64_t w = writes_++;
+    std::string cmd;
+    if (w % 2 == 0) {
+      const std::string a = "n" + std::to_string(1 + rng_() % kPersons);
+      const std::string b = "n" + std::to_string(1 + rng_() % kPersons);
+      cmd = "!mutate add-edge " + a + " " + b + " label=Knows name=s" +
+            std::to_string(w / 2);
+    } else {
+      cmd = "!mutate rm-edge s" + std::to_string(w / 2);
+    }
+    Check(Line(cmd).rfind("OK mutate ", 0) == 0, "session write refused");
+  }
+
+  void Query() {
+    Check(Line(kReadQuery).rfind("OK ", 0) == 0, "session query failed");
+  }
+
+ private:
+  // The graph ScaledSocialGraph(kPersons) builds, as a catalog spec.
+  static constexpr const char* kSpec =
+      "social persons=400 messages=800 ring=2 chords=400 likes=2 seed=7";
+  static constexpr const char* kReadQuery =
+      "MATCH ALL WALK p = (?x {name:\"person0\"})-[:Knows]->(?y)";
+
+  static std::string Dir() {
+    struct stat st {};
+    const bool shm = stat("/dev/shm", &st) == 0 && S_ISDIR(st.st_mode);
+    return shm ? "/dev/shm/pathalg_mutation_churn_bench"
+               : "mutation_churn_bench.d";
+  }
+  static void RemoveDir() {
+    const std::string dir = Dir();
+    if (DIR* d = opendir(dir.c_str())) {
+      while (dirent* e = readdir(d)) {
+        const std::string name = e->d_name;
+        if (name != "." && name != "..") {
+          std::remove((dir + "/" + name).c_str());
+        }
+      }
+      closedir(d);
+    }
+    rmdir(dir.c_str());
+  }
+  static server::GraphCatalogOptions Options() {
+    RemoveDir();  // never recover a previous run's journal
+    server::GraphCatalogOptions o;
+    o.mutation_dir = Dir();
+    o.mutation_compact_threshold = 0;
+    return o;
+  }
+
+  server::GraphCatalog catalog_;
+  server::SessionManager manager_;
+  std::unique_ptr<server::ServerSession> session_;
+  std::string out_;
+  std::mt19937_64 rng_{7};
+  uint64_t writes_ = 0;
+};
+
+/// k `!mutate` lines, then one query line, through an in-process session.
+/// An acknowledged write publishes nothing, so the burst pays one version
+/// materialization — on the query — instead of k. k=1 is strict
+/// write/query alternation: ack_us and read_us split each pair between
+/// the write acknowledgements and the query that follows them.
+void BM_SessionWritesThenQuery(benchmark::State& state) {
+  InMemorySession s;
+  const int64_t k = state.range(0);
+  double ack_us = 0;
+  double read_us = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int64_t i = 0; i < k; ++i) s.Write();
+    const auto t1 = std::chrono::steady_clock::now();
+    s.Query();
+    const auto t2 = std::chrono::steady_clock::now();
+    ack_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
+    read_us += std::chrono::duration<double, std::micro>(t2 - t1).count();
+  }
+  state.counters["ack_us"] =
+      benchmark::Counter(ack_us, benchmark::Counter::kAvgIterations);
+  state.counters["read_us"] =
+      benchmark::Counter(read_us, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SessionWritesThenQuery)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
 
 /// Eight journaled mutations + one compaction: the steady-state cost of
 /// keeping the recovery tail short.

@@ -169,14 +169,14 @@ class SegmentWalker {
 /// r-segment result by one product-walked segment. Structure (segment
 /// batching, chunk-order merge, budget checks on the calling thread)
 /// mirrors RecursiveSemiNaive so the two engines share every budget
-/// trip point.
-Result<PathSet> FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
-                            const ProductIndex& index,
-                            PathSemantics semantics, const EvalLimits& limits,
-                            const ParallelOptions& parallel,
-                            ParallelStats* parallel_stats,
-                            FrontierClosureStats* stats) {
-  PathSet acc;
+/// trip point. Accumulates into `*out`: the answer when OK is returned
+/// (a truncate=true trip returns OK with the partial answer).
+Status FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
+                   const ProductIndex& index, PathSemantics semantics,
+                   const EvalLimits& limits, const ParallelOptions& parallel,
+                   ParallelStats* parallel_stats,
+                   FrontierClosureStats* stats, PathSet* out) {
+  PathSet& acc = *out;
   // The frontier holds indices into acc's append-only storage instead of
   // Path copies: merge inserts each accepted path once and records where
   // it landed. acc is only mutated on this thread between expansions, so
@@ -260,13 +260,13 @@ Result<PathSet> FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
         expand_rounds(g.num_nodes(),
                       [](size_t i) { return Path::SingleNode(NodeId(i)); },
                       &frontier));
-    if (!keep_going) return acc;
+    if (!keep_going) return Status::OK();
   }
 
   size_t iterations = 0;
   while (!frontier.empty()) {
     if (++iterations > limits.max_iterations) {
-      if (limits.truncate) return acc;
+      if (limits.truncate) return Status::OK();
       return BudgetExhausted("max_iterations");
     }
     std::vector<size_t> next;
@@ -276,13 +276,13 @@ Result<PathSet> FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
             frontier.size(),
             [&](size_t i) -> const Path& { return acc.paths()[frontier[i]]; },
             &next));
-    if (!keep_going) return acc;
+    if (!keep_going) return Status::OK();
     frontier = std::move(next);
   }
   if (dropped && !limits.truncate) {
     return BudgetExhausted("max_path_length");
   }
-  return acc;
+  return Status::OK();
 }
 
 /// Shortest engine: per-source product BFS over NFA(inner+) computing
@@ -422,11 +422,11 @@ class ShortestSource {
   bool stopped_ = false;
 };
 
-Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
-                                 const EvalLimits& limits,
-                                 const ParallelOptions& parallel,
-                                 ParallelStats* parallel_stats,
-                                 FrontierClosureStats* stats) {
+Status FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
+                        const EvalLimits& limits,
+                        const ParallelOptions& parallel,
+                        ParallelStats* parallel_stats,
+                        FrontierClosureStats* stats, PathSet* result) {
   const Nfa nfa = Nfa::FromRegex(RegexNode::Plus(inner));
   const ProductIndex index(g, nfa);
 
@@ -446,7 +446,7 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
   // Cancellation discards every chunk's (possibly truncated) output.
   if (CancelRequested(limits.cancel)) return EvalCancelled(*limits.cancel);
 
-  PathSet out;
+  PathSet& out = *result;
   for (size_t c = 0; c < layout.num_chunks; ++c) {
     if (stats != nullptr) {
       stats->states_expanded += chunk_counts[c].first;
@@ -455,13 +455,13 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
     for (auto& [q, h] : results[c]) {
       if (out.ContainsHashed(q, h)) continue;  // duplicates never trip
       if (out.size() >= limits.max_paths) {
-        if (limits.truncate) return out;
+        if (limits.truncate) return Status::OK();
         return BudgetExhausted("max_paths");
       }
       out.InsertHashed(std::move(q), h);
     }
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace
@@ -476,14 +476,22 @@ Result<PathSet> FrontierClosure(const PropertyGraph& g, const RegexPtr& inner,
     return Status::InvalidArgument(
         "frontier closure requires a closure-free inner regex");
   }
+  PathSet acc;
+  Status st;
   if (semantics == PathSemantics::kShortest) {
-    return FrontierShortest(g, inner, limits, parallel, parallel_stats,
-                            stats);
+    st = FrontierShortest(g, inner, limits, parallel, parallel_stats, stats,
+                          &acc);
+  } else {
+    const Nfa nfa = Nfa::FromRegex(inner);
+    const ProductIndex index(g, nfa);
+    st = FrontierDfs(g, nfa, index, semantics, limits, parallel,
+                     parallel_stats, stats, &acc);
   }
-  const Nfa nfa = Nfa::FromRegex(inner);
-  const ProductIndex index(g, nfa);
-  return FrontierDfs(g, nfa, index, semantics, limits, parallel,
-                     parallel_stats, stats);
+  // Read before a refusal discards the accumulator: it is the only
+  // record of how much a refused or cancelled ϕ held.
+  if (stats != nullptr) stats->accumulated_paths = acc.size();
+  PATHALG_RETURN_NOT_OK(st);
+  return acc;
 }
 
 }  // namespace pathalg

@@ -51,7 +51,8 @@
 namespace pathalg {
 
 /// Counters for one FrontierClosure call; the evaluator folds them into
-/// EvalStats (frontier_states_expanded / frontier_paths_reconstructed).
+/// EvalStats (frontier_states_expanded / frontier_paths_reconstructed /
+/// peak_intermediate_paths).
 struct FrontierClosureStats {
   /// Product steps taken: one per (node, NFA-state) pair pushed during
   /// segment walks (non-shortest) or relaxed/backtracked (shortest).
@@ -59,6 +60,10 @@ struct FrontierClosureStats {
   /// Candidate Path objects reconstructed for accepting survivors
   /// (before dedup against the accumulated result).
   size_t paths_reconstructed = 0;
+  /// Distinct paths in the accumulator when the engine returned — on a
+  /// budget refusal or cancellation too, where no PathSet reaches the
+  /// caller (a max_paths refusal holds exactly max_paths).
+  size_t accumulated_paths = 0;
 };
 
 /// True if `inner` is a closure-free regex (labels, concatenations,

@@ -1,8 +1,5 @@
 #include "engine/serve.h"
 
-#include <istream>
-#include <ostream>
-
 #include "common/str_util.h"
 #include "engine/workload_file.h"
 
@@ -127,20 +124,6 @@ bool HandleRequestLine(QueryEngine& engine, const std::string& line,
   *out += "\n";
   ++result->ok;
   return true;
-}
-
-ServeResult ServeLines(QueryEngine& engine, std::istream& in,
-                       std::ostream& out) {
-  ServeResult result;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string response;
-    const bool keep_going =
-        HandleRequestLine(engine, line, &response, &result);
-    out << response << std::flush;
-    if (!keep_going) break;
-  }
-  return result;
 }
 
 }  // namespace engine

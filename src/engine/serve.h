@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -59,11 +58,6 @@ struct ServeOptions {
 bool HandleRequestLine(QueryEngine& engine, const std::string& line,
                        std::string* out, ServeResult* result,
                        const ServeOptions& options = {});
-
-/// Serves `in` until EOF or `!quit`, writing responses to `out` (flushed
-/// per line, so piped clients see answers promptly).
-ServeResult ServeLines(QueryEngine& engine, std::istream& in,
-                       std::ostream& out);
 
 /// The session-stats block of the `!stats` response ("STAT ..." lines,
 /// one per category, no trailing OK). Exported so the concurrent server

@@ -95,7 +95,7 @@ Result<std::shared_ptr<LiveGraph>> LiveGraph::Open(
   return lg;
 }
 
-Status LiveGraph::Mutate(const DeltaRecord& rec, DeltaRecord* resolved) {
+Status LiveGraph::Mutate(const DeltaRecord& rec, MutateAck* ack) {
   bool compact_inline = false;
   {
     MutexLock lock(mu_);
@@ -127,7 +127,11 @@ Status LiveGraph::Mutate(const DeltaRecord& rec, DeltaRecord* resolved) {
     ++delta_generation_;
     current_.reset();
     version_id_ = 0;
-    if (resolved != nullptr) *resolved = r;
+    if (ack != nullptr) {
+      ack->resolved = std::move(r);
+      ack->nodes = state_->live_node_count();
+      ack->edges = state_->live_edge_count();
+    }
     compact_inline = MaybeScheduleCompactionLocked();
   }
   if (compact_inline) {

@@ -10,11 +10,18 @@
 /// query's duration — MVCC falls out of the catalog's existing sharing
 /// model, no reader locks anywhere on the query path.
 ///
+/// Acknowledged ⇒ journaled; published on first read, at most once per
+/// delta generation.
+///
 /// Write path (`Mutate`): validate + apply to the DeltaState, append the
 /// resolved record to the fsync'd journal (durability point — a mutation
 /// is acknowledged only once it would survive a crash), invalidate the
-/// cached current version. Writers are serialized per graph by the
-/// annotated mutex; queries never take it (they hold a shared_ptr).
+/// cached current version. The acknowledgement's node/edge counts come
+/// from the delta itself, so a write never builds a version: the first
+/// reader after it (`Current()` / `VersionId()`) does, and a burst of k
+/// writes costs one materialization, not k. Writers are serialized per
+/// graph by the annotated mutex; queries take it only briefly in
+/// `Current()` (then hold a shared_ptr).
 /// A failed journal append rolls the record back out of the DeltaState
 /// (published versions never show a mutation the client saw ERR for) and
 /// poisons the write path: the file tail and fd are suspect after a
@@ -98,6 +105,17 @@ struct LiveGraphCounters {
   uint64_t stale_journals = 0;
 };
 
+/// What an acknowledged Mutate reports (the `!mutate` OK line).
+struct MutateAck {
+  /// The record with auto names filled in.
+  DeltaRecord resolved;
+  /// Live node/edge counts of the version the write produces, read from
+  /// the delta under the write lock (equal to that version's
+  /// num_nodes()/num_edges() once it is materialized).
+  size_t nodes = 0;
+  size_t edges = 0;
+};
+
 class LiveGraph : public std::enable_shared_from_this<LiveGraph> {
  public:
   /// Opens a live graph over `base`, running crash recovery against
@@ -112,12 +130,13 @@ class LiveGraph : public std::enable_shared_from_this<LiveGraph> {
       uint64_t base_version_hint = 0);
 
   /// Validates and applies one mutation, journalling the resolved record
-  /// before acknowledging. `resolved`, when non-null, receives the
-  /// record with auto names filled in (the `!mutate` OK line echoes it).
+  /// before acknowledging. `ack`, when non-null, receives what the
+  /// `!mutate` OK line reports. Publishes nothing: the new version is
+  /// materialized by the next Current()/VersionId() (or a compaction).
   /// May trigger compaction per LiveGraphOptions. Fails without applying
   /// once the journal is poisoned (failed append or lost swap — see file
   /// header); the graph is then read-only until reopened.
-  Status Mutate(const DeltaRecord& rec, DeltaRecord* resolved = nullptr);
+  Status Mutate(const DeltaRecord& rec, MutateAck* ack = nullptr);
 
   /// The current published version. Readers hold the shared_ptr for as
   /// long as they need a stable view; later mutations never touch

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <variant>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "algebra/core_ops.h"
 #include "algebra/eval_budget.h"
 #include "algebra/frontier_closure.h"
@@ -160,6 +164,10 @@ Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
         options.stats->frontier_states_expanded += fstats.states_expanded;
         options.stats->frontier_paths_reconstructed +=
             fstats.paths_reconstructed;
+        // On a refusal no PathSet reaches RecordOp; the accumulator the
+        // engine held when it returned is the node's high-water mark.
+        options.stats->peak_intermediate_paths = std::max(
+            options.stats->peak_intermediate_paths, fstats.accumulated_paths);
       }
       if (!r.ok()) {
         // Book the node even on a budget error, mirroring the non-fused
@@ -264,14 +272,28 @@ Result<EvalValue> ApplyOp(const PropertyGraph& g, const PlanNode& node,
   return Status::Internal("unknown plan kind");
 }
 
+/// Returns the small blocks a refused evaluation freed to the allocator
+/// proper. A budget or cancel trip can drop millions of small Path
+/// buffers at once; glibc parks them in fastbins and consolidates them
+/// on the next large request, which would charge the next (cheap) query
+/// tens of milliseconds. Trimming here makes the refusal pay its own
+/// cleanup.
+void ReleaseRefusedMemory() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
+
 /// Shared prologue/epilogue of the two public entry points: resets the
 /// stats collector, runs `body`, and stamps total wall time (errors
-/// included, so failed evaluations still report their cost).
+/// included, so failed evaluations still report their cost — the
+/// post-refusal trim too).
 template <typename T, typename Body>
 Result<T> Timed(const EvalOptions& options, Body body) {
   if (options.stats != nullptr) *options.stats = EvalStats();
   const SteadyClock::time_point start = SteadyClock::now();
   Result<T> r = body();
+  if (!r.ok() && r.status().IsResourceExhausted()) ReleaseRefusedMemory();
   if (options.stats != nullptr) options.stats->wall_us = MicrosSince(start);
   return r;
 }

@@ -36,7 +36,9 @@ struct EvalStats {
   /// Plan nodes visited (= operator applications; a node evaluated once).
   size_t nodes_evaluated = 0;
   /// Cardinality of the largest intermediate path set produced by any
-  /// operator — the evaluation's memory high-water proxy. Merges as a
+  /// operator — the evaluation's memory high-water proxy. A fused ϕ that
+  /// is refused or cancelled contributes the accumulator it held when it
+  /// returned, so a refusal does not read as 0. Merges as a
   /// *maximum* (a high-water mark over the merged runs), unlike every
   /// other field, which merges by summation.
   size_t peak_intermediate_paths = 0;

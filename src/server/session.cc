@@ -426,25 +426,26 @@ bool ServerSession::HandleServerCommand(std::string_view cmd,
       err("ERR " + engine::OneLine(rec.status().ToString()) + "\n");
       return true;
     }
-    mutation::DeltaRecord resolved;
-    Status applied = catalog_entry_->live->Mutate(*rec, &resolved);
+    // Acknowledged once journaled: the counts come from the delta, and
+    // the version itself is built by the first line that reads it.
+    mutation::MutateAck ack;
+    Status applied = catalog_entry_->live->Mutate(*rec, &ack);
     if (!applied.ok()) {
       err("ERR " + engine::OneLine(applied.ToString()) + "\n");
       return true;
     }
-    RefreshLiveGraph();
     if (recording_) {
       // Mutations are part of the session history a replay must
       // reproduce: record the *resolved* form (auto names filled in) so
       // the replayed graph evolves identically.
       engine::WorkloadEntry entry;
       entry.name = "q" + std::to_string(recorded_.entries.size() + 1);
-      entry.mutation = mutation::FormatMutation(resolved);
+      entry.mutation = mutation::FormatMutation(ack.resolved);
       recorded_.entries.push_back(std::move(entry));
     }
-    ok("OK mutate " + mutation::FormatMutation(resolved) +
-       " nodes=" + std::to_string(engine_.graph().num_nodes()) +
-       " edges=" + std::to_string(engine_.graph().num_edges()) + "\n");
+    ok("OK mutate " + mutation::FormatMutation(ack.resolved) +
+       " nodes=" + std::to_string(ack.nodes) +
+       " edges=" + std::to_string(ack.edges) + "\n");
     return true;
   }
 
@@ -497,10 +498,6 @@ void ServerSession::RefreshLiveGraph() {
 bool ServerSession::HandleLine(const std::string& line, std::string* out) {
   const std::string_view trimmed = StripWhitespace(line);
   if (trimmed.empty()) return true;
-  // Pick up versions published by other sessions' mutations before
-  // handling anything — each request line sees the latest version, and
-  // keeps it pinned (shared_ptr) for exactly this line's duration.
-  RefreshLiveGraph();
   if (trimmed[0] == '!') {
     const size_t space = trimmed.find_first_of(" \t");
     const std::string_view cmd = trimmed.substr(0, space);
@@ -512,6 +509,12 @@ bool ServerSession::HandleLine(const std::string& line, std::string* out) {
     const bool keep_going = HandleServerCommand(cmd, rest, out, &handled);
     if (handled) return keep_going;
     // Fall through to the base protocol (!cache clear, !quit, unknown).
+  } else {
+    // A query reads the graph: pick up the latest version (this
+    // session's writes or another's) and keep it pinned (shared_ptr)
+    // for exactly this line's duration. The first reader after a burst
+    // of writes is the one that materializes it.
+    RefreshLiveGraph();
   }
   // The original line, not a copy of the trimmed view: HandleRequestLine
   // strips whitespace itself.

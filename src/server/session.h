@@ -37,14 +37,22 @@
 ///                              add-edge <src> <dst> [label=L] [name=N]
 ///                              [k=v ...], rm-node <name>, rm-edge <name>.
 ///                              Journalled (fsync) before the OK line,
-///                              which echoes the resolved record; writers
-///                              are serialized per graph, in-flight
-///                              queries keep their pinned version
+///                              which echoes the resolved record and the
+///                              new live node/edge counts; writers are
+///                              serialized per graph, in-flight queries
+///                              keep their pinned version. The new
+///                              version is published lazily: the first
+///                              line that reads the graph (a query,
+///                              !version or !graph, on any session)
+///                              materializes it, once per burst of writes
 ///   !version                   content-addressed id of the session
 ///                              graph's current version ("OK version
 ///                              <16 hex digits>"); two graphs share an id
 ///                              iff their snapshots are byte-identical
 ///   !stats                     engine stats + catalog/session/pool lines
+///                              (graph_nodes/graph_edges describe the
+///                              version this session's queries last ran
+///                              on; !stats never materializes one)
 ///
 /// plus everything the base protocol handles (queries, !help, !cache
 /// clear, !quit).
@@ -148,7 +156,9 @@ class ServerSession {
   std::string StopRecording();
   /// Re-points the engine at the live graph's current version when it
   /// moved (this session's own !mutate, or another session's). Cheap when
-  /// nothing changed: one shared_ptr copy and a pointer compare.
+  /// nothing changed: one shared_ptr copy and a pointer compare; the
+  /// first call after a write materializes the new version. Called only
+  /// by lines that read the graph, never on the write path.
   void RefreshLiveGraph();
 
   SessionManager* const manager_;

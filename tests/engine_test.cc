@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "engine/plan_cache.h"
 #include "engine/query_engine.h"
 #include "engine/serve.h"
 #include "gql/query.h"
+#include "server/graph_catalog.h"
+#include "server/session.h"
 #include "workload/figure1.h"
 #include "workload/generators.h"
 
@@ -281,21 +285,29 @@ TEST(QueryEngineTest, CacheDisabledStillExecutes) {
 // --- Line protocol (engine/serve.h) ---------------------------------------
 
 TEST(ServeTest, AnswersQueriesAndCommands) {
-  QueryEngine eng(MakeFigure1Graph());
-  std::istringstream in(
-      "MATCH ANY SHORTEST TRAIL p = (x)-[:Knows+]->(y)\n"
-      "\n"
-      "MATCH ANY SHORTEST TRAIL p = (x)-[:Knows+]->(y)\n"
-      "not a query\n"
-      "!stats\n"
-      "!quit\n"
-      "MATCH ALL WALK p = (?x)-[:Knows]->(?y)\n");  // after quit: unread
-  std::ostringstream out;
-  ServeResult result = ServeLines(eng, in, out);
+  // Driven through an in-process server session, the production caller
+  // of HandleRequestLine, the way a piped `pathalg_serve` feeds it.
+  server::GraphCatalog catalog;
+  server::SessionManager manager(&catalog, {});
+  Result<std::unique_ptr<server::ServerSession>> session = manager.Open();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const std::vector<std::string> lines = {
+      "MATCH ANY SHORTEST TRAIL p = (x)-[:Knows+]->(y)",
+      "",
+      "MATCH ANY SHORTEST TRAIL p = (x)-[:Knows+]->(y)",
+      "not a query",
+      "!stats",
+      "!quit",
+      "MATCH ALL WALK p = (?x)-[:Knows]->(?y)",  // after quit: unread
+  };
+  std::string text;
+  for (const std::string& line : lines) {
+    if (!(*session)->HandleLine(line, &text)) break;
+  }
+  const ServeResult& result = (*session)->result();
   EXPECT_EQ(result.requests, 5u);  // empty line skipped, post-quit unread
   EXPECT_EQ(result.ok, 4u);        // 2 queries + !stats + !quit
   EXPECT_EQ(result.errors, 1u);
-  const std::string text = out.str();
   EXPECT_NE(text.find("OK 9 paths miss"), std::string::npos) << text;
   EXPECT_NE(text.find("OK 9 paths hit"), std::string::npos) << text;
   EXPECT_NE(text.find("ERR Parse error"), std::string::npos) << text;

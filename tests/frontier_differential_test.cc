@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "algebra/eval_budget.h"
 #include "algebra/frontier_closure.h"
 #include "algebra/recursive.h"
 #include "baseline/automaton_eval.h"
@@ -430,6 +431,45 @@ TEST(FrontierDifferentialTest, IneligiblePlansFallBackToMaterializingPhi) {
   // Exactly the inner ϕ fused; the outer one ran the materializing engine.
   EXPECT_EQ(stats.fused_closure_hits, 1u);
   EXPECT_GT(stats.op_count[static_cast<size_t>(PlanKind::kRecursive)], 1u);
+}
+
+TEST(FrontierDifferentialTest, RefusedPhiReportsAccumulatorPeak) {
+  // A refused ϕ hands no PathSet back, yet it held exactly max_paths
+  // distinct paths when the (max_paths+1)-th tripped the budget; that is
+  // the evaluation's high-water mark, at any thread count.
+  const PropertyGraph g = MakeCycleGraph(6, "Knows");
+  constexpr size_t kBudget = 10;
+  for (PathSemantics semantics :
+       {PathSemantics::kWalk, PathSemantics::kShortest}) {
+    CompileOptions copts;
+    copts.semantics = semantics;
+    const PlanPtr plan =
+        CompileRegex(RegexNode::Plus(RegexNode::Label("Knows")), copts);
+    for (size_t threads : {1, 4}) {
+      EvalOptions options;
+      options.limits.max_paths = kBudget;
+      options.limits.truncate = false;
+      options.threads = threads;
+      options.min_chunk = 1;
+      EvalStats stats;
+      options.stats = &stats;
+      auto r = Evaluate(g, plan, options);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().ToString(),
+                BudgetExhausted("max_paths").ToString());
+      EXPECT_EQ(stats.fused_closure_hits, 1u);
+      EXPECT_EQ(stats.peak_intermediate_paths, kBudget)
+          << "threads=" << threads
+          << " semantics=" << static_cast<int>(semantics);
+
+      FrontierClosureStats fstats;
+      auto direct = FrontierClosure(
+          g, RegexNode::Label("Knows"), semantics, options.limits,
+          ParallelOptions{threads, 1}, nullptr, &fstats);
+      ASSERT_FALSE(direct.ok());
+      EXPECT_EQ(fstats.accumulated_paths, kBudget);
+    }
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mutation/delta_log.h"
@@ -272,6 +273,169 @@ TEST(MutationSwapStress, LateSessionsSeeTheNewVersion) {
                 VersionHex(storage::SnapshotWriter::VersionId(
                     *versions.back())) +
                 "\n");
+}
+
+// --- Session-level !mutate: ack bytes, read-your-writes, lazy publish -----
+
+/// The value of `key=` in a `!stats` transcript (-1 when absent).
+long long StatValue(const std::string& stats, const std::string& key) {
+  const std::string needle = " " + key + "=";
+  const size_t at = stats.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::stoll(stats.substr(at + needle.size()));
+}
+
+long long Materializations(server::ServerSession& session) {
+  std::string out;
+  session.HandleLine("!stats", &out);
+  return StatValue(out, "materializations");
+}
+
+TEST(MutationSessionTest, AckBytesAndCountsMatchPublishedVersion) {
+  const std::string dir = FreshMutationDir("ack");
+  server::GraphCatalogOptions copts;
+  copts.mutation_dir = dir;
+  server::GraphCatalog catalog(copts);
+  server::SessionManager manager(&catalog, {});
+  auto entry = catalog.Get(kSpec);
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  auto session = manager.Open(kSpec);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  // Every op kind, auto names, properties, a self-loop, and cascading
+  // rm-node of an added node and of a base node (n2 takes both of its
+  // cycle edges along). The bytes are pinned: the counts come from the
+  // delta, and must read exactly as the published version's would.
+  const std::vector<std::pair<std::string, std::string>> steps = {
+      {"add-node a label=Person age=3",
+       "OK mutate add-node a label=Person age=3 nodes=7 edges=6\n"},
+      {"add-node", "OK mutate add-node n8 nodes=8 edges=6\n"},
+      {"add-edge a n1 label=Knows",
+       "OK mutate add-edge a n1 label=Knows name=e7 nodes=8 edges=7\n"},
+      {"add-edge n1 a label=Knows name=back w=1.5",
+       "OK mutate add-edge n1 a label=Knows name=back w=1.5 nodes=8 "
+       "edges=8\n"},
+      {"rm-edge back", "OK mutate rm-edge back nodes=8 edges=7\n"},
+      {"add-edge a a label=Knows",
+       "OK mutate add-edge a a label=Knows name=e9 nodes=8 edges=8\n"},
+      {"rm-node a", "OK mutate rm-node a nodes=7 edges=6\n"},
+      {"rm-node n2", "OK mutate rm-node n2 nodes=6 edges=4\n"},
+  };
+  for (const auto& [cmd, want] : steps) {
+    std::string out;
+    (*session)->HandleLine("!mutate " + cmd, &out);
+    EXPECT_EQ(out, want) << cmd;
+    // The counts are read from the delta; they must equal the version
+    // the write publishes once something reads it.
+    const std::shared_ptr<const PropertyGraph> published =
+        (*entry)->live->Current();
+    EXPECT_NE(out.find(" nodes=" + std::to_string(published->num_nodes()) +
+                       " edges=" + std::to_string(published->num_edges()) +
+                       "\n"),
+              std::string::npos)
+        << cmd;
+  }
+}
+
+TEST(MutationSessionTest, ReadYourWritesWithinAndAcrossSessions) {
+  const std::string dir = FreshMutationDir("ryw");
+  server::GraphCatalogOptions copts;
+  copts.mutation_dir = dir;
+  server::GraphCatalog catalog(copts);
+  server::SessionManager manager(&catalog, {});
+  auto entry = catalog.Get(kSpec);
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  const auto versions = PrefixVersions((*entry)->live->Current());
+  const std::vector<std::string> expected = ExpectedResponses(versions, "ryw");
+  ASSERT_EQ(expected.size(), kMutations.size() + 1);
+
+  auto writer = manager.Open(kSpec);
+  auto other = manager.Open(kSpec);
+  ASSERT_TRUE(writer.ok() && other.ok());
+  std::string sink;
+  (*writer)->HandleLine("!timing off", &sink);
+  (*other)->HandleLine("!timing off", &sink);
+  auto query = [](server::ServerSession& s) {
+    std::string out;
+    s.HandleLine(kQuery, &out);
+    return out;
+  };
+  // Both sessions pin the starting version first, so a stale pin would
+  // show as the previous version's bytes.
+  EXPECT_EQ(query(**writer), expected[0]);
+  EXPECT_EQ(query(**other), expected[0]);
+  for (size_t i = 0; i < kMutations.size(); ++i) {
+    std::string out;
+    (*writer)->HandleLine("!mutate " + kMutations[i], &out);
+    ASSERT_EQ(out.rfind("OK mutate ", 0), 0u) << out;
+    // Alternate which session reads first: the first reader after the
+    // write is the one that materializes the version.
+    if (i % 2 == 0) {
+      EXPECT_EQ(query(**writer), expected[i + 1]) << "writer after " << i;
+      EXPECT_EQ(query(**other), expected[i + 1]) << "other after " << i;
+    } else {
+      EXPECT_EQ(query(**other), expected[i + 1]) << "other after " << i;
+      EXPECT_EQ(query(**writer), expected[i + 1]) << "writer after " << i;
+    }
+  }
+}
+
+TEST(MutationSessionTest, WritesPublishOnFirstReadOnly) {
+  const std::string dir = FreshMutationDir("lazy");
+  server::GraphCatalogOptions copts;
+  copts.mutation_dir = dir;
+  copts.mutation_compact_threshold = 64;  // never reached below
+  server::GraphCatalog catalog(copts);
+  server::SessionManager manager(&catalog, {});
+  auto session = manager.Open(kSpec);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  server::ServerSession& s = **session;
+  std::string out;
+
+  const long long start = Materializations(s);
+  ASSERT_GE(start, 0);
+  for (int k = 0; k < 8; ++k) {
+    out.clear();
+    s.HandleLine("!mutate add-node", &out);
+    ASSERT_EQ(out.rfind("OK mutate ", 0), 0u) << out;
+  }
+  EXPECT_EQ(Materializations(s), start) << "a write-only burst publishes 0";
+
+  s.HandleLine(kQuery, &out);
+  EXPECT_EQ(Materializations(s), start + 1) << "k writes + 1 query = 1";
+  s.HandleLine(kQuery, &out);
+  EXPECT_EQ(Materializations(s), start + 1) << "once per delta generation";
+
+  // !version and !graph read the graph too.
+  s.HandleLine("!mutate add-node", &out);
+  s.HandleLine("!version", &out);
+  EXPECT_EQ(Materializations(s), start + 2);
+  s.HandleLine("!mutate add-node", &out);
+  s.HandleLine(std::string("!graph ") + kSpec, &out);
+  EXPECT_EQ(Materializations(s), start + 3);
+}
+
+TEST(MutationSessionTest, InlineCompactionMaterializesTheVersionItFolds) {
+  const std::string dir = FreshMutationDir("fold");
+  server::GraphCatalogOptions copts;
+  copts.mutation_dir = dir;
+  copts.mutation_compact_threshold = 4;
+  copts.mutation_background_compaction = false;
+  server::GraphCatalog catalog(copts);
+  server::SessionManager manager(&catalog, {});
+  auto session = manager.Open(kSpec);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  server::ServerSession& s = **session;
+  std::string out;
+
+  const long long start = Materializations(s);
+  for (int k = 0; k < 4; ++k) s.HandleLine("!mutate add-node", &out);
+  s.HandleLine("!stats", &out);
+  EXPECT_EQ(StatValue(out, "compactions"), 1);
+  EXPECT_EQ(StatValue(out, "materializations"), start + 1);
+  // The fold published its version; the next reader reuses it.
+  s.HandleLine(kQuery, &out);
+  EXPECT_EQ(Materializations(s), start + 1);
 }
 
 }  // namespace

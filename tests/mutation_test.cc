@@ -342,10 +342,13 @@ TEST(LiveGraphTest, MutateAndVersionLifecycle) {
   std::shared_ptr<const PropertyGraph> g0 = live.Current();
   EXPECT_EQ(g0.get(), live.Current().get()) << "empty delta aliases the base";
 
-  DeltaRecord resolved;
-  ASSERT_TRUE(
-      live.Mutate(MustParse("add-node n4 label=person"), &resolved).ok());
-  EXPECT_EQ(resolved.name, "n4");
+  MutateAck ack;
+  ASSERT_TRUE(live.Mutate(MustParse("add-node n4 label=person"), &ack).ok());
+  EXPECT_EQ(ack.resolved.name, "n4");
+  EXPECT_EQ(ack.nodes, 4u);
+  EXPECT_EQ(ack.edges, g0->num_edges());
+  EXPECT_EQ(live.counters().materializations, 0u)
+      << "an acknowledged write publishes nothing";
   std::shared_ptr<const PropertyGraph> g1 = live.Current();
   EXPECT_NE(g0.get(), g1.get());
   EXPECT_EQ(g0->num_nodes(), 3u) << "pinned version is untouched";
