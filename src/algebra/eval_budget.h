@@ -49,6 +49,16 @@
 /// reports BudgetExhausted("max_paths"). Pinned by
 /// FrontierDifferentialTest.BudgetPrecedenceMaxPathsBeforeMaxPathLength.
 ///
+/// **Seeded closures** — the evaluator runs a fused ϕ below a σ with a
+/// first-node conjunct (`first.name = c`) *seeded*: only from the nodes
+/// that conjunct admits (FrontierClosure's `sources`). Every budget above
+/// then counts against the seeded closure, not the all-pairs one: an
+/// anchored query whose all-pairs ϕ would trip max_paths, max_iterations
+/// or max_path_length answers when its own closure fits, and under
+/// truncate=true it returns a prefix in the seeded engine's order. The
+/// spec configuration (PhiEngine::kNaive) never seeds, so there the
+/// budgets still count against the whole closure.
+///
 /// **cancel** — an optional CancelToken (common/cancel.h) carried in
 /// EvalLimits. Engines poll it at every deterministic control point
 /// (fixpoint round, frontier segment, length layer, chunk merge, plan

@@ -175,7 +175,8 @@ Status FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
                    const ProductIndex& index, PathSemantics semantics,
                    const EvalLimits& limits, const ParallelOptions& parallel,
                    ParallelStats* parallel_stats,
-                   FrontierClosureStats* stats, PathSet* out) {
+                   FrontierClosureStats* stats,
+                   const std::vector<NodeId>* sources, PathSet* out) {
   PathSet& acc = *out;
   // The frontier holds indices into acc's append-only storage instead of
   // Path copies: merge inserts each accepted path once and records where
@@ -251,14 +252,21 @@ Status FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
     return true;
   };
 
-  // Round 0 — the base: every 1-segment path, walked from each node in
-  // node order. This is the frontier analog of inserting the filtered
-  // base set, so it is budgeted identically.
+  // Round 0 — the base: every 1-segment path, walked from each node (or
+  // each source) in node order. This is the frontier analog of inserting
+  // the filtered base set, so it is budgeted identically. A path only
+  // ever extends paths with its own first node, so walking the sources
+  // alone keeps exactly the unseeded answer's paths from those sources,
+  // in the unseeded order.
   {
+    const size_t n = sources != nullptr ? sources->size() : g.num_nodes();
     PATHALG_ASSIGN_OR_RETURN(
         bool keep_going,
-        expand_rounds(g.num_nodes(),
-                      [](size_t i) { return Path::SingleNode(NodeId(i)); },
+        expand_rounds(n,
+                      [sources](size_t i) {
+                        return Path::SingleNode(
+                            sources != nullptr ? (*sources)[i] : NodeId(i));
+                      },
                       &frontier));
     if (!keep_going) return Status::OK();
   }
@@ -289,7 +297,7 @@ Status FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
 /// distances on (node, state) pairs, then backward enumeration of every
 /// distance-decreasing product path — Path objects exist only for the
 /// per-pair-minimal survivors. Sources fan out across chunks; chunk
-/// buffers merge in chunk (= node) order.
+/// buffers merge in chunk (= source) order.
 class ShortestSource {
  public:
   ShortestSource(const PropertyGraph& g, const Nfa& nfa,
@@ -426,20 +434,23 @@ Status FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
                         const EvalLimits& limits,
                         const ParallelOptions& parallel,
                         ParallelStats* parallel_stats,
-                        FrontierClosureStats* stats, PathSet* result) {
+                        FrontierClosureStats* stats,
+                        const std::vector<NodeId>* sources,
+                        PathSet* result) {
   const Nfa nfa = Nfa::FromRegex(RegexNode::Plus(inner));
   const ProductIndex index(g, nfa);
 
-  const size_t n = g.num_nodes();
+  const size_t n = sources != nullptr ? sources->size() : g.num_nodes();
   const ChunkLayout layout = ThreadPool::PlanFor(n, parallel);
   std::vector<std::vector<std::pair<Path, size_t>>> results(layout.num_chunks);
   std::vector<std::pair<size_t, size_t>> chunk_counts(layout.num_chunks);
   ThreadPool::Shared().ParallelFor(
       n, parallel, parallel_stats, [&](size_t chunk, size_t begin, size_t end) {
         ShortestSource bfs(g, nfa, index, limits);
-        for (size_t src = begin; src < end; ++src) {
+        for (size_t i = begin; i < end; ++i) {
           if (bfs.stopped()) break;
-          bfs.Run(static_cast<NodeId>(src), &results[chunk]);
+          bfs.Run(sources != nullptr ? (*sources)[i] : static_cast<NodeId>(i),
+                  &results[chunk]);
         }
         chunk_counts[chunk] = {bfs.states_expanded, bfs.paths_reconstructed};
       });
@@ -471,7 +482,8 @@ Result<PathSet> FrontierClosure(const PropertyGraph& g, const RegexPtr& inner,
                                 const EvalLimits& limits,
                                 const ParallelOptions& parallel,
                                 ParallelStats* parallel_stats,
-                                FrontierClosureStats* stats) {
+                                FrontierClosureStats* stats,
+                                const std::vector<NodeId>* sources) {
   if (!FrontierEligible(inner)) {
     return Status::InvalidArgument(
         "frontier closure requires a closure-free inner regex");
@@ -480,12 +492,12 @@ Result<PathSet> FrontierClosure(const PropertyGraph& g, const RegexPtr& inner,
   Status st;
   if (semantics == PathSemantics::kShortest) {
     st = FrontierShortest(g, inner, limits, parallel, parallel_stats, stats,
-                          &acc);
+                          sources, &acc);
   } else {
     const Nfa nfa = Nfa::FromRegex(inner);
     const ProductIndex index(g, nfa);
     st = FrontierDfs(g, nfa, index, semantics, limits, parallel,
-                     parallel_stats, stats, &acc);
+                     parallel_stats, stats, sources, &acc);
   }
   // Read before a refusal discards the accumulator: it is the only
   // record of how much a refused or cancelled ϕ held.

@@ -41,6 +41,8 @@
 /// minima; walk is unrestricted. Checked against RecursiveSemiNaive and
 /// the automaton baseline by tests/frontier_differential_test.cc.
 
+#include <vector>
+
 #include "algebra/recursive.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -76,13 +78,24 @@ bool FrontierEligible(const RegexPtr& inner);
 /// InvalidArgument otherwise. Result is set-equal to
 /// Recursive(Eval(CompileRegex(inner)), semantics, limits) with an
 /// identical budget-trip predicate (algebra/eval_budget.h).
+///
+/// `sources` (ascending node ids; null = every node) seeds the closure:
+/// round 0 walks, and the shortest BFS starts, only from those nodes, so
+/// the result is exactly the unseeded result's paths whose first node is
+/// a source, in the unseeded order. The budgets then count against the
+/// *seeded* closure: max_paths and max_iterations trip on what the
+/// sources reach, a max_path_length drop from another node is never
+/// seen, and a truncate=true answer is a prefix of the seeded order. A
+/// seeded closure can therefore answer where the all-pairs one is
+/// refused (see algebra/eval_budget.h).
 Result<PathSet> FrontierClosure(const PropertyGraph& g,
                                 const RegexPtr& inner,
                                 PathSemantics semantics,
                                 const EvalLimits& limits = {},
                                 const ParallelOptions& parallel = {},
                                 ParallelStats* parallel_stats = nullptr,
-                                FrontierClosureStats* stats = nullptr);
+                                FrontierClosureStats* stats = nullptr,
+                                const std::vector<NodeId>* sources = nullptr);
 
 }  // namespace pathalg
 

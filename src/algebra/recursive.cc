@@ -61,13 +61,13 @@ using BestMap =
 // The restrictor filter is applied to every candidate (§4: "filtering the
 // paths generated during the recursion").
 // ---------------------------------------------------------------------------
-Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
-                               const EvalLimits& limits) {
+Status RecursiveNaive(const PathSet& base, PathSemantics semantics,
+                      const EvalLimits& limits, PathSet* out) {
   const bool shortest = semantics == PathSemantics::kShortest;
   BestMap best;
   bool dropped = false;
 
-  PathSet acc;  // ϕ_{i}(S), accumulated.
+  PathSet& acc = *out;  // ϕ_{i}(S), accumulated.
   for (const Path& p : base) {
     if (p.empty()) continue;
     // Semantics before length: only *admissible* overlong candidates set
@@ -79,7 +79,7 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
     }
     if (acc.Contains(p)) continue;  // duplicates never trip the budget
     if (acc.size() >= limits.max_paths) {
-      if (limits.truncate) return acc;
+      if (limits.truncate) return Status::OK();
       return BudgetExhausted("max_paths");
     }
     if (shortest) {
@@ -107,7 +107,8 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
     if (CancelRequested(limits.cancel)) return EvalCancelled(*limits.cancel);
     if (rounds == limits.max_iterations) {
       if (limits.truncate) {
-        return shortest ? KeepShortestPerEndpointPair(acc) : acc;
+        if (shortest) acc = KeepShortestPerEndpointPair(acc);
+        return Status::OK();
       }
       return BudgetExhausted("max_iterations");
     }
@@ -145,7 +146,7 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
     for (Path& q : generated) {
       if (acc.Contains(q)) continue;  // duplicates never trip the budget
       if (acc.size() >= limits.max_paths) {
-        if (limits.truncate) return acc;
+        if (limits.truncate) return Status::OK();
         return BudgetExhausted("max_paths");
       }
       acc.Insert(std::move(q));
@@ -156,7 +157,8 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
   if (dropped && !limits.truncate) {
     return BudgetExhausted("max_path_length");
   }
-  return shortest ? KeepShortestPerEndpointPair(acc) : acc;
+  if (shortest) acc = KeepShortestPerEndpointPair(acc);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -172,12 +174,11 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
 // so results, partial answers and Status are byte-identical at any thread
 // count.
 // ---------------------------------------------------------------------------
-Result<PathSet> RecursiveSemiNaive(const PathSet& base,
-                                   PathSemantics semantics,
-                                   const EvalLimits& limits,
-                                   const ParallelOptions& parallel,
-                                   ParallelStats* parallel_stats) {
-  PathSet acc;
+Status RecursiveSemiNaive(const PathSet& base, PathSemantics semantics,
+                          const EvalLimits& limits,
+                          const ParallelOptions& parallel,
+                          ParallelStats* parallel_stats, PathSet* out) {
+  PathSet& acc = *out;
   std::vector<Path> frontier;
   bool dropped = false;
   for (const Path& p : base) {
@@ -191,7 +192,7 @@ Result<PathSet> RecursiveSemiNaive(const PathSet& base,
     }
     if (acc.Contains(p)) continue;  // duplicates never trip the budget
     if (acc.size() >= limits.max_paths) {
-      if (limits.truncate) return acc;
+      if (limits.truncate) return Status::OK();
       return BudgetExhausted("max_paths");
     }
     acc.Insert(p);
@@ -205,7 +206,7 @@ Result<PathSet> RecursiveSemiNaive(const PathSet& base,
   size_t iterations = 0;
   while (!frontier.empty()) {
     if (++iterations > limits.max_iterations) {
-      if (limits.truncate) return acc;
+      if (limits.truncate) return Status::OK();
       return BudgetExhausted("max_iterations");
     }
     // Generate-and-merge in deterministic frontier *segments* rather than
@@ -270,7 +271,7 @@ Result<PathSet> RecursiveSemiNaive(const PathSet& base,
         for (auto& [q, h] : candidates[c]) {
           if (acc.ContainsHashed(q, h)) continue;  // duplicates never trip
           if (acc.size() >= limits.max_paths) {
-            if (limits.truncate) return acc;
+            if (limits.truncate) return Status::OK();
             return BudgetExhausted("max_paths");
           }
           next.push_back(q);
@@ -283,7 +284,7 @@ Result<PathSet> RecursiveSemiNaive(const PathSet& base,
   if (dropped && !limits.truncate) {
     return BudgetExhausted("max_path_length");
   }
-  return acc;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -305,10 +306,10 @@ Result<PathSet> RecursiveSemiNaive(const PathSet& base,
 // interleaved loop, the frozen best map prunes slightly more duplicate
 // pushes — same answers, fewer wasted pops.)
 // ---------------------------------------------------------------------------
-Result<PathSet> RecursiveShortestLayered(const PathSet& base,
-                                         const EvalLimits& limits,
-                                         const ParallelOptions& parallel,
-                                         ParallelStats* parallel_stats) {
+Status RecursiveShortestLayered(const PathSet& base, const EvalLimits& limits,
+                                const ParallelOptions& parallel,
+                                ParallelStats* parallel_stats,
+                                PathSet* result) {
   auto cmp = [](const Path& a, const Path& b) {
     // Min-heap by (length, canonical order) for determinism.
     if (a.Len() != b.Len()) return a.Len() > b.Len();
@@ -324,7 +325,7 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
   }
 
   BestMap best;
-  PathSet out;
+  PathSet& out = *result;
   PathSet expanded;  // dedup of heap pops (a path can be pushed twice)
   size_t pops = 0;
   std::vector<Path> layer;  // this length class's newly-optimal paths
@@ -334,7 +335,7 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
     layer.clear();
     while (!heap.empty() && heap.top().Len() == layer_len) {
       if (++pops > limits.max_iterations * 64) {
-        if (limits.truncate) return out;
+        if (limits.truncate) return Status::OK();
         return BudgetExhausted("max_iterations");
       }
       Path p = heap.top();
@@ -345,7 +346,7 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
       if (it == best.end()) best[key] = p.Len();
       if (!expanded.Insert(p)) continue;  // already handled this exact path
       if (out.size() >= limits.max_paths) {
-        if (limits.truncate) return out;
+        if (limits.truncate) return Status::OK();
         return BudgetExhausted("max_paths");
       }
       out.Insert(p);
@@ -379,7 +380,7 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
       for (Path& q : chunk) heap.push(std::move(q));
     }
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace
@@ -387,7 +388,10 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
 Result<PathSet> Recursive(const PathSet& base, PathSemantics semantics,
                           const EvalLimits& limits, PhiEngine engine,
                           const ParallelOptions& parallel,
-                          ParallelStats* parallel_stats) {
+                          ParallelStats* parallel_stats,
+                          size_t* accumulated_paths) {
+  PathSet acc;
+  Status st;
   if (engine == PhiEngine::kNaive) {
     // The naive engine is the literal Definition 4.1 reference the
     // parallel paths are differentially tested against; it stays serial
@@ -395,13 +399,19 @@ Result<PathSet> Recursive(const PathSet& base, PathSemantics semantics,
     if (parallel_stats != nullptr && parallel.EffectiveThreads() > 1) {
       ++parallel_stats->serial_fallbacks;
     }
-    return RecursiveNaive(base, semantics, limits);
+    st = RecursiveNaive(base, semantics, limits, &acc);
+  } else if (semantics == PathSemantics::kShortest) {
+    st = RecursiveShortestLayered(base, limits, parallel, parallel_stats,
+                                  &acc);
+  } else {
+    st = RecursiveSemiNaive(base, semantics, limits, parallel,
+                            parallel_stats, &acc);
   }
-  if (semantics == PathSemantics::kShortest) {
-    return RecursiveShortestLayered(base, limits, parallel, parallel_stats);
-  }
-  return RecursiveSemiNaive(base, semantics, limits, parallel,
-                            parallel_stats);
+  // Read before a refusal discards the accumulator: it is the only
+  // record of how much a refused or cancelled ϕ held.
+  if (accumulated_paths != nullptr) *accumulated_paths = acc.size();
+  PATHALG_RETURN_NOT_OK(st);
+  return acc;
 }
 
 PathSet RestrictPaths(const PathSet& s, PathSemantics semantics) {

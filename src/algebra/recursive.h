@@ -72,12 +72,16 @@ enum class PhiEngine { kNaive, kOptimized };
 /// ϕ_semantics(base): Definition 4.1 with the restrictor filter applied to
 /// every generated path (including the base paths themselves — ϕTrail of a
 /// non-trail base path excludes it, matching Table 2's "returns paths that
-/// do not have repeated edges").
+/// do not have repeated edges"). `accumulated_paths` (optional) receives
+/// the engine's accumulator size when it returned, on every outcome: the
+/// answer's size on success, and on a budget refusal or cancellation the
+/// paths it held (a max_paths refusal holds exactly max_paths).
 Result<PathSet> Recursive(const PathSet& base, PathSemantics semantics,
                           const EvalLimits& limits = {},
                           PhiEngine engine = PhiEngine::kOptimized,
                           const ParallelOptions& parallel = {},
-                          ParallelStats* parallel_stats = nullptr);
+                          ParallelStats* parallel_stats = nullptr,
+                          size_t* accumulated_paths = nullptr);
 
 /// Keeps, for every (First, Last) pair in `s`, exactly the minimum-length
 /// paths. Exposed for the optimizer and for tests.

@@ -44,7 +44,9 @@ struct ReplayQueryStat {
   std::string name;
   std::string query;
   /// Non-empty for `# mutate` steps; `runs` then counts applications
-  /// (one per pass) and `total_us` the apply + re-materialize cost.
+  /// (one per pass) and `total_us` the apply cost. The graph version a
+  /// run of mutate steps leads to is built before the next query entry
+  /// and booked to that entry's `total_us`.
   std::string mutation;
   size_t runs = 0;
   size_t cache_hits = 0;
@@ -86,6 +88,9 @@ struct ReplayReport {
   /// restarts from the workload's original graph, so expectations stay
   /// pass-independent.
   size_t mutations = 0;
+  /// Graph versions built for the queries after mutate steps: one per
+  /// run of consecutive mutate steps that a query entry follows.
+  size_t materializations = 0;
 
   /// True when no run errored and every expectation held.
   bool ok() const { return errors == 0 && expect_failures == 0; }
@@ -95,7 +100,8 @@ struct ReplayReport {
 /// use BuildWorkloadGraph(workload.graph_spec) to honor the file's
 /// `# graph` directive). Only infrastructure failures return non-OK;
 /// query errors and expectation misses are recorded in the report unless
-/// `options.fail_fast` is set.
+/// `options.fail_fast` is set. A workload with `# mutate` steps leaves
+/// the engine on the graph version its last query entry read.
 Result<ReplayReport> ReplayWorkload(QueryEngine& engine,
                                     const Workload& workload,
                                     const ReplayOptions& options = {});

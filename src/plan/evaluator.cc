@@ -34,6 +34,7 @@ void EvalStats::Merge(const EvalStats& other) {
   chunks_executed += other.chunks_executed;
   steal_count += other.steal_count;
   fused_closure_hits += other.fused_closure_hits;
+  seeded_scans += other.seeded_scans;
   frontier_states_expanded += other.frontier_states_expanded;
   frontier_paths_reconstructed += other.frontier_paths_reconstructed;
 }
@@ -61,6 +62,63 @@ void RecordOp(EvalStats* stats, const PlanNode& node,
 Result<EvalValue> ApplyOp(const PropertyGraph& g, const PlanNode& node,
                           std::vector<EvalValue>& inputs,
                           const EvalOptions& options);
+
+/// Anchored evaluation. A σ whose condition has *first-node conjuncts*
+/// (top-level conjuncts whose every leaf reads `first.*`, `label(first)`
+/// or `node(1)`) can only keep paths starting at a node those conjuncts
+/// admit. When a fused ϕ below can use them, the σ computes that seed set
+/// S in one pass over the nodes and evaluates its child *seeded*. A
+/// seeded subtree may drop any path whose first node is not in S, and
+/// must emit every path whose first node is in S in exactly the unseeded
+/// order. The σ then applies its full condition, which implies First ∈
+/// S, so its output is the unseeded one byte for byte (see
+/// algebra/eval_budget.h for what a seeded ϕ counts against its budgets).
+/// Rules: the fused ϕ walks only from S; ⋈ passes S to its left side
+/// (First(p1 ◦ p2) = First(p1)); ∪ passes S to both sides; a nested σ
+/// narrows S by its own conjuncts; every other operator ignores S, which
+/// is always allowed. Seeds are ascending node ids; null means unseeded.
+/// Only PhiEngine::kOptimized with fuse_closures seeds: the spec
+/// configuration is the materialize-then-filter reference the seeded
+/// path is tested against.
+using Seeds = std::vector<NodeId>;
+
+Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
+                       const EvalOptions& options,
+                       const Seeds* seeds = nullptr);
+
+/// Collects the top-level conjuncts of `c` that read only the first node.
+void FirstNodeConjuncts(const Condition& c,
+                        std::vector<const Condition*>* out) {
+  if (c.kind() == Condition::Kind::kAnd) {
+    FirstNodeConjuncts(*c.left(), out);
+    FirstNodeConjuncts(*c.right(), out);
+  } else if (RefersOnlyToFirstNode(c)) {
+    out->push_back(&c);
+  }
+}
+
+/// The nodes n (among `within`, or all nodes when it is null) at which
+/// every conjunct holds. A first-node conjunct reads only node(1), so it
+/// holds for a path iff it holds for the zero-length path at its first
+/// node.
+Seeds SeedNodes(const PropertyGraph& g,
+                const std::vector<const Condition*>& conjuncts,
+                const Seeds* within) {
+  Seeds out;
+  auto admit = [&](NodeId n) {
+    const Path p = Path::SingleNode(n);
+    for (const Condition* c : conjuncts) {
+      if (!c->Evaluate(g, p)) return;
+    }
+    out.push_back(n);
+  };
+  if (within != nullptr) {
+    for (NodeId n : *within) admit(n);
+  } else {
+    for (NodeId n = 0; n < g.num_nodes(); ++n) admit(n);
+  }
+  return out;
+}
 
 /// Matches σ_{label(edge(1))="L"}(Edges(G)) — the shape every compiled
 /// regex label atom takes. Such subtrees are answered directly from the
@@ -106,6 +164,36 @@ RegexPtr ReconstructRegex(const PlanNode& node) {
                                                            std::move(r));
 }
 
+/// The closure-free regex of a ϕ that Eval runs fused under `options`,
+/// or nullptr when `node` is not such a ϕ.
+RegexPtr FusedClosureRegex(const PlanNode& node, const EvalOptions& options) {
+  if (node.kind() != PlanKind::kRecursive ||
+      options.engine != PhiEngine::kOptimized || !options.fuse_closures) {
+    return nullptr;
+  }
+  RegexPtr inner = ReconstructRegex(*node.child());
+  return inner != nullptr && FrontierEligible(inner) ? inner : nullptr;
+}
+
+/// True when seeds handed to `node` reach a fused ϕ, the operator that
+/// uses them, along the rules above (σ's child, ⋈'s left side, both
+/// sides of ∪). A σ whose seeds nothing would read computes none.
+bool UsesSeeds(const PlanNode& node, const EvalOptions& options) {
+  switch (node.kind()) {
+    case PlanKind::kRecursive:
+      return FusedClosureRegex(node, options) != nullptr;
+    case PlanKind::kSelect:
+      return UsesSeeds(*node.child(), options);
+    case PlanKind::kJoin:
+      return UsesSeeds(*node.child(0), options);
+    case PlanKind::kUnion:
+      return UsesSeeds(*node.child(0), options) ||
+             UsesSeeds(*node.child(1), options);
+    default:
+      return false;
+  }
+}
+
 // GCC 12 flags the Result<variant<...>> moves in Eval/ApplyOp returns —
 // and, at -O2 (RelWithDebInfo, the TSan build), the inlined
 // std::get<SolutionSpace> move in EvaluateToSpace — as
@@ -117,7 +205,7 @@ RegexPtr ReconstructRegex(const PlanNode& node) {
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
-                       const EvalOptions& options) {
+                       const EvalOptions& options, const Seeds* seeds) {
   // Per-plan-node cancellation point: covers σ/⋈ and the scans, whose
   // operator kernels return plain PathSets and so cannot trip mid-op;
   // the ϕ engines additionally poll at their own round/segment/layer
@@ -141,26 +229,26 @@ Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
   }
   // NFA-fused ϕ: when the closure's child subtree is the compiled form of
   // a closure-free regex, skip evaluating it (the base set is never
-  // materialized) and run the product-automaton frontier engine instead.
-  // Unlike the label-scan fast path the collapsed children are *not*
-  // booked into op_count — no operator ran for them.
-  if (node.kind() == PlanKind::kRecursive &&
-      options.engine == PhiEngine::kOptimized && options.fuse_closures) {
-    if (RegexPtr inner = ReconstructRegex(*node.children()[0]);
-        inner != nullptr && FrontierEligible(inner)) {
+  // materialized) and run the product-automaton frontier engine instead,
+  // only from the seeds when seeded. Unlike the label-scan fast path the
+  // collapsed children are *not* booked into op_count — no operator ran
+  // for them.
+  if (node.kind() == PlanKind::kRecursive) {
+    if (RegexPtr inner = FusedClosureRegex(node, options)) {
       const SteadyClock::time_point own_start = SteadyClock::now();
       const ParallelOptions par{options.threads, options.min_chunk};
       ParallelStats pstats;
       FrontierClosureStats fstats;
       Result<PathSet> r = FrontierClosure(g, inner, node.semantics(),
                                           options.limits, par, &pstats,
-                                          &fstats);
+                                          &fstats, seeds);
       if (options.stats != nullptr) {  // a failed ϕ still reports its work
         options.stats->chunks_executed += pstats.chunks_executed;
         options.stats->steal_count += pstats.steal_count;
         options.stats->op_serial_fallback[static_cast<size_t>(
             PlanKind::kRecursive)] += pstats.serial_fallbacks;
         options.stats->fused_closure_hits += 1;
+        if (seeds != nullptr) options.stats->seeded_scans += 1;
         options.stats->frontier_states_expanded += fstats.states_expanded;
         options.stats->frontier_paths_reconstructed +=
             fstats.paths_reconstructed;
@@ -186,14 +274,35 @@ Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
       return out;
     }
   }
-  // Evaluate children first (all operators are strict).
+  // Anchored evaluation: a σ with first-node conjuncts above a fused ϕ
+  // seeds its child. The pass over the nodes is the σ's own work.
+  Seeds own;
+  SteadyClock::duration seeding{};
+  if (node.kind() == PlanKind::kSelect && UsesSeeds(*node.child(), options)) {
+    const SteadyClock::time_point seed_start = SteadyClock::now();
+    std::vector<const Condition*> conjuncts;
+    FirstNodeConjuncts(*node.condition(), &conjuncts);
+    if (!conjuncts.empty()) {
+      own = SeedNodes(g, conjuncts, seeds);
+      seeds = &own;
+    }
+    seeding = SteadyClock::now() - seed_start;
+  }
+  // Evaluate children first (all operators are strict). σ and ∪ pass the
+  // seeds on to every child and ⋈ to its left side; every other operator
+  // drops them.
   std::vector<EvalValue> inputs;
   inputs.reserve(node.children().size());
-  for (const PlanPtr& c : node.children()) {
-    PATHALG_ASSIGN_OR_RETURN(EvalValue v, Eval(g, *c, options));
+  for (size_t i = 0; i < node.children().size(); ++i) {
+    const bool pass = node.kind() == PlanKind::kSelect ||
+                      node.kind() == PlanKind::kUnion ||
+                      (node.kind() == PlanKind::kJoin && i == 0);
+    PATHALG_ASSIGN_OR_RETURN(
+        EvalValue v,
+        Eval(g, *node.children()[i], options, pass ? seeds : nullptr));
     inputs.push_back(std::move(v));
   }
-  const SteadyClock::time_point own_start = SteadyClock::now();
+  const SteadyClock::time_point own_start = SteadyClock::now() - seeding;
   PATHALG_ASSIGN_OR_RETURN(EvalValue out, ApplyOp(g, node, inputs, options));
   RecordOp(options.stats, node, own_start, out);
   return EvalValue(std::move(out));
@@ -248,10 +357,17 @@ Result<EvalValue> ApplyOp(const PropertyGraph& g, const PlanNode& node,
     case PlanKind::kDifference:
       return EvalValue(Difference(paths(0), paths(1)));
     case PlanKind::kRecursive: {
+      size_t accumulated = 0;
       Result<PathSet> r = Recursive(paths(0), node.semantics(),
                                     options.limits, options.engine, par,
-                                    &pstats);
+                                    &pstats, &accumulated);
       fold_parallel();  // a failed ϕ still reports its parallel work
+      // As for the fused ϕ: a refusal's accumulator is its high-water
+      // mark, since no PathSet reaches RecordOp.
+      if (options.stats != nullptr) {
+        options.stats->peak_intermediate_paths =
+            std::max(options.stats->peak_intermediate_paths, accumulated);
+      }
       PATHALG_RETURN_NOT_OK(r.status());
       return EvalValue(std::move(r).value());
     }

@@ -60,6 +60,10 @@ struct EvalStats {
   size_t fused_closure_hits = 0;
   size_t frontier_states_expanded = 0;
   size_t frontier_paths_reconstructed = 0;
+  /// Operators evaluated seeded (anchored evaluation, plan/evaluator.cc):
+  /// fused ϕ nodes that walked only from the seeds a σ above them
+  /// admitted. Sums on Merge.
+  size_t seeded_scans = 0;
   /// Per-operator count of parallel-eligible regions (one operator
   /// input, one ϕ segment wave, or one shortest length layer) that ran
   /// serially despite threads > 1 — input under the min_chunk threshold,
@@ -92,7 +96,10 @@ struct EvalOptions {
   /// is the compiled form of a closure-free regex is answered by product-
   /// automaton expansion without materializing the base set. Set-equal
   /// results and identical budget Status either way (the differential
-  /// fuzz pins both); only applies under PhiEngine::kOptimized.
+  /// fuzz pins both), except below a σ with a first-node conjunct: there
+  /// the fused ϕ runs seeded and counts its budgets against the seeded
+  /// closure (algebra/eval_budget.h). Only applies under
+  /// PhiEngine::kOptimized.
   bool fuse_closures = true;
   /// Optional stats collector (not owned; may be null). When set, Evaluate
   /// resets and fills it — including on error, so callers can attribute the

@@ -472,5 +472,37 @@ TEST(FrontierDifferentialTest, RefusedPhiReportsAccumulatorPeak) {
   }
 }
 
+TEST(FrontierDifferentialTest, RefusedMaterializingPhiReportsAccumulatorPeak) {
+  // The same refusal through both materializing engines — semi-naive
+  // (fuse_closures=false) and the Definition 4.1 reference (kNaive) —
+  // reports the accumulator too, not just the base set's 6 edges.
+  const PropertyGraph g = MakeCycleGraph(6, "Knows");
+  constexpr size_t kBudget = 10;
+  CompileOptions copts;
+  copts.semantics = PathSemantics::kWalk;
+  const PlanPtr plan =
+      CompileRegex(RegexNode::Plus(RegexNode::Label("Knows")), copts);
+  for (PhiEngine engine : {PhiEngine::kOptimized, PhiEngine::kNaive}) {
+    for (size_t threads : {1, 4}) {
+      EvalOptions options;
+      options.engine = engine;
+      options.fuse_closures = false;
+      options.limits.max_paths = kBudget;
+      options.threads = threads;
+      options.min_chunk = 1;
+      EvalStats stats;
+      options.stats = &stats;
+      auto r = Evaluate(g, plan, options);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().ToString(),
+                BudgetExhausted("max_paths").ToString());
+      EXPECT_EQ(stats.fused_closure_hits, 0u);
+      EXPECT_EQ(stats.peak_intermediate_paths, kBudget)
+          << "threads=" << threads
+          << " engine=" << static_cast<int>(engine);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pathalg

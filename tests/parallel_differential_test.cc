@@ -366,6 +366,7 @@ EvalStats MakeStats(uint64_t seed) {
   s.chunks_executed = rng() % 300;
   s.steal_count = rng() % 40;
   s.fused_closure_hits = rng() % 8;
+  s.seeded_scans = rng() % 8;
   s.frontier_states_expanded = rng() % 5000;
   s.frontier_paths_reconstructed = rng() % 800;
   return s;
@@ -378,6 +379,7 @@ bool StatsEqual(const EvalStats& a, const EvalStats& b) {
       a.chunks_executed != b.chunks_executed ||
       a.steal_count != b.steal_count ||
       a.fused_closure_hits != b.fused_closure_hits ||
+      a.seeded_scans != b.seeded_scans ||
       a.frontier_states_expanded != b.frontier_states_expanded ||
       a.frontier_paths_reconstructed != b.frontier_paths_reconstructed) {
     return false;

@@ -296,6 +296,35 @@ TEST(ReplayWorkloadTest, RecordsQueryErrorsAndContinues) {
   EXPECT_TRUE(failed.status().IsParseError());
 }
 
+TEST(ReplayWorkloadTest, ConsecutiveMutatesBuildOneVersionForTheNextQuery) {
+  // Three mutate steps then one query: the steps only record their
+  // changes, and the query entry builds the version it reads, once per
+  // pass. Cardinalities are those of the fully mutated graph.
+  auto w = ParseWorkload(
+      "# graph figure1\n"
+      "# expect 4\n"
+      "MATCH ALL WALK p = (?x)-[:Knows]->(?y)\n"
+      "# mutate add-node a label=Person\n"
+      "# mutate add-node b label=Person\n"
+      "# mutate add-edge a b label=Knows\n"
+      "# expect 5\n"
+      "MATCH ALL WALK p = (?x)-[:Knows]->(?y)\n"
+      "# mutate rm-node a\n");
+  ASSERT_TRUE(w.ok()) << w.status();
+  ReplayOptions options;
+  options.passes = 2;
+  auto report = ReplayWorkload(*w, options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->ok());
+  EXPECT_EQ(report->mutations, 8u);  // 4 steps x 2 passes
+  // The trailing rm-node is read by no query, so it builds nothing.
+  EXPECT_EQ(report->materializations, 2u);
+  ASSERT_EQ(report->queries.size(), 6u);
+  EXPECT_EQ(report->queries[0].result_paths, 4u);
+  EXPECT_EQ(report->queries[4].result_paths, 5u);
+  EXPECT_TRUE(report->queries[4].stable_cardinality);
+}
+
 TEST(ReplayWorkloadTest, JsonReportHasCompareCompatibleRollups) {
   auto report = ReplayWorkload(Figure1Workload());
   ASSERT_TRUE(report.ok());
